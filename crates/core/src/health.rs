@@ -508,18 +508,6 @@ impl HealthState {
     }
 }
 
-/// Renders a caught panic payload as a string (the common `&str` and
-/// `String` payload types; anything else gets a placeholder).
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

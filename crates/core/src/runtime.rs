@@ -12,9 +12,7 @@
 use crate::cache::{CacheStats, CachedDecision, CachedSpmm, TuningCache};
 use crate::config::SmatConfig;
 use crate::error::{Result, SmatError};
-use crate::health::{
-    panic_message, Admission, ExecIncident, FaultKind, HealthReport, HealthState, PoolMode,
-};
+use crate::health::{Admission, ExecIncident, FaultKind, HealthReport, HealthState, PoolMode};
 use crate::install::Installation;
 use crate::integrity::fnv1a64;
 use crate::model::TrainedModel;
@@ -22,7 +20,7 @@ use crate::retry::{retry_transient, RetryPolicy};
 use crate::stats::SmatStats;
 use serde::{Deserialize, Serialize};
 use smat_features::{extract_structure, FeatureVector};
-use smat_kernels::timing::{gflops, measure_guarded};
+use smat_kernels::timing::{gflops, measure_guarded, panic_message};
 use smat_kernels::{ExecPlan, KernelId, KernelLibrary, Op};
 use smat_learn::ClassGroup;
 use smat_matrix::{AnyMatrix, Csr, Format, Scalar, StructuralFingerprint};
@@ -116,19 +114,13 @@ impl Inflight {
     /// Blocks until the run completes or `deadline` passes; `true`
     /// means the run completed.
     fn wait_until(&self, deadline: Instant) -> bool {
-        let mut done = self.done.lock().unwrap_or_else(PoisonError::into_inner);
-        while !*done {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (guard, _timeout) = self
-                .cv
-                .wait_timeout(done, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            done = guard;
-        }
-        true
+        let done = self.done.lock().unwrap_or_else(PoisonError::into_inner);
+        let timeout = deadline.saturating_duration_since(Instant::now());
+        let (done, _) = self
+            .cv
+            .wait_timeout_while(done, timeout, |done| !*done)
+            .unwrap_or_else(PoisonError::into_inner);
+        *done
     }
 }
 
@@ -151,6 +143,53 @@ impl Drop for InflightGuard<'_> {
             marker.finish();
         }
     }
+}
+
+/// Step-1 features with the power-law parameter `R` filled in lazily:
+/// the fit runs only once a consulted rule group or the plan search
+/// tests it.
+struct LazyFeatures {
+    features: FeatureVector,
+    /// The per-row nonzero counts, until `R` is fitted from them.
+    pending_r: Option<Vec<usize>>,
+}
+
+impl LazyFeatures {
+    /// The features with `R` fitted.
+    fn with_r(&mut self) -> &FeatureVector {
+        if let Some(degrees) = self.pending_r.take() {
+            self.features.r = smat_features::fit_power_law_of_degrees(degrees.into_iter());
+        }
+        &self.features
+    }
+}
+
+/// How one run of the prepare pipeline ended, before
+/// [`Smat::finish`] builds the handle from it.
+enum Exit<T> {
+    /// The structure was cached: its new values converted to the
+    /// cached format, plus the resident entry to replay.
+    Hit {
+        matrix: AnyMatrix<T>,
+        entry: CachedDecision,
+    },
+    /// A fresh decision, [`DecisionPath::Predicted`] or
+    /// [`DecisionPath::Measured`], whose plan is still to be refined.
+    Tuned {
+        matrix: AnyMatrix<T>,
+        kernel: KernelId,
+        features: LazyFeatures,
+        decision: DecisionPath,
+    },
+    /// Tuning was abandoned — deadline expired before tuning,
+    /// non-finite input, single-flight wait timed out, or every
+    /// candidate failed — and the reference CSR kernel serves.
+    /// `features` is `None` when the pipeline stopped before extracting
+    /// them.
+    Degraded {
+        reason: String,
+        features: Option<FeatureVector>,
+    },
 }
 
 /// The multi-RHS execution pick attached lazily to a [`TunedSpmv`] by
@@ -349,12 +388,7 @@ impl<T: Scalar> Smat<T> {
     /// [`SmatError::Persist`] if a fresh installation cannot be written
     /// to `install_path`.
     pub fn with_config(mut model: TrainedModel, config: SmatConfig) -> Result<Self> {
-        if model.precision != T::PRECISION_NAME {
-            return Err(SmatError::PrecisionMismatch {
-                model: model.precision.clone(),
-                data: T::PRECISION_NAME,
-            });
-        }
+        check_precision::<T>(&model.precision)?;
         if let Some(n) = config.pool_threads {
             smat_kernels::exec::set_thread_target(n);
         }
@@ -403,17 +437,11 @@ impl<T: Scalar> Smat<T> {
     /// installation disagree with `T`'s precision.
     pub fn with_installation(
         mut model: TrainedModel,
-        config: SmatConfig,
+        mut config: SmatConfig,
         installation: Installation,
     ) -> Result<Self> {
-        if installation.precision != T::PRECISION_NAME {
-            return Err(SmatError::PrecisionMismatch {
-                model: installation.precision.clone(),
-                data: T::PRECISION_NAME,
-            });
-        }
+        check_precision::<T>(&installation.precision)?;
         model.kernel_choice = installation.kernel_choice.clone();
-        let mut config = config;
         config.install_path = None;
         let mut engine = Self::with_config(model, config)?;
         engine.health.seed_quarantine(&installation.quarantined);
@@ -577,22 +605,24 @@ impl<T: Scalar> Smat<T> {
             precision: T::PRECISION_NAME.to_string(),
             entries,
         };
-        retry_transient(
-            RetryPolicy::from_config(&self.config),
-            "cache.persist",
-            || {
-                // Failpoint `cache.persist`: scripted transient write
-                // failure for the whole snapshot save.
-                if let Some(fault) = smat_failpoints::check("cache.persist") {
-                    return Err(SmatError::Persist(smat_learn::PersistError::Io(
-                        fault.into(),
-                    )));
-                }
-                smat_learn::save_json(&sealed, path)?;
-                Ok(())
-            },
-        )?;
+        self.persist_io("cache.persist", || {
+            Ok(smat_learn::save_json(&sealed, path)?)
+        })?;
         Ok(count)
+    }
+
+    /// Runs one snapshot read or write under the persistence retry
+    /// policy. Failpoint `site` scripts a transient failure of the whole
+    /// operation.
+    fn persist_io<R>(&self, site: &str, mut io: impl FnMut() -> Result<R>) -> Result<R> {
+        retry_transient(RetryPolicy::from_config(&self.config), site, || {
+            if let Some(fault) = smat_failpoints::check(site) {
+                return Err(SmatError::Persist(smat_learn::PersistError::Io(
+                    fault.into(),
+                )));
+            }
+            io()
+        })
     }
 
     /// Warm-starts the tuning cache from a snapshot written by
@@ -627,16 +657,7 @@ impl<T: Scalar> Smat<T> {
     pub fn load_cache_snapshot(&self, path: impl AsRef<Path>) -> Result<CacheSnapshot> {
         let path = path.as_ref();
         let sealed: SealedCacheSnapshot =
-            retry_transient(RetryPolicy::from_config(&self.config), "cache.load", || {
-                // Failpoint `cache.load`: scripted transient read
-                // failure for the whole snapshot load.
-                if let Some(fault) = smat_failpoints::check("cache.load") {
-                    return Err(SmatError::Persist(smat_learn::PersistError::Io(
-                        fault.into(),
-                    )));
-                }
-                Ok(smat_learn::load_json(path)?)
-            })?;
+            self.persist_io("cache.load", || Ok(smat_learn::load_json(path)?))?;
         let actual = snapshot_checksum(&sealed.entries)?;
         if actual != sealed.checksum {
             return Err(SmatError::Corrupt {
@@ -647,12 +668,7 @@ impl<T: Scalar> Smat<T> {
                 ),
             });
         }
-        if sealed.precision != T::PRECISION_NAME {
-            return Err(SmatError::PrecisionMismatch {
-                model: sealed.precision,
-                data: T::PRECISION_NAME,
-            });
-        }
+        check_precision::<T>(&sealed.precision)?;
         Ok(CacheSnapshot {
             entries: sealed.entries,
         })
@@ -707,18 +723,25 @@ impl<T: Scalar> Smat<T> {
         self.prepare_opt(csr, Some(deadline))
     }
 
+    /// The prepare pipeline. Every path — cache hit, leader tuning run,
+    /// timed-out follower — yields one [`Exit`], which [`Smat::finish`]
+    /// turns into the handle; the cache is then published and counted.
     fn prepare_opt(&self, csr: &Csr<T>, req_deadline: Option<Instant>) -> TunedSpmv<T> {
-        if self.config.cache_capacity == 0 {
-            return self.tune(csr, csr.fingerprint(), req_deadline);
-        }
         let t0 = Instant::now();
         let key = csr.fingerprint();
+        if self.config.cache_capacity == 0 {
+            return self.finish(csr, key, t0, req_deadline, self.tune(csr, req_deadline));
+        }
         let limits = self.config.conversion_limits();
         let mut wait_deadline = t0 + self.config.single_flight_wait;
         if let Some(d) = req_deadline {
             wait_deadline = wait_deadline.min(d);
         }
-        loop {
+        // Set while this thread leads a tuning run. It drops when
+        // `prepare` returns — after the decision is published below —
+        // or when tuning panics.
+        let mut leader = None;
+        let exit = loop {
             if let Some(hit) = self.cache.get(&key) {
                 if self.health.quarantined(hit.kernel) {
                     // The cached decision points at a variant the
@@ -735,58 +758,7 @@ impl<T: Scalar> Smat<T> {
                 else if let Ok(matrix) =
                     AnyMatrix::convert_from_csr_with(csr, hit.format, &limits)
                 {
-                    // A plan sized for a different thread count (e.g. a
-                    // snapshot written on another machine) is rebuilt
-                    // for this backend and the entry refreshed in place.
-                    // The rebuild keeps the recorded chunk policy, so a
-                    // plan-searched decision survives the resize.
-                    let plan = if hit.plan.is_stale() {
-                        let rebuilt = self.lib.build_plan(&matrix, hit.plan.policy);
-                        self.cache.insert(
-                            key,
-                            CachedDecision {
-                                plan: rebuilt.clone(),
-                                ..hit.clone()
-                            },
-                        );
-                        rebuilt
-                    } else {
-                        hit.plan
-                    };
-                    // Replay the cached multi-RHS pick alongside the
-                    // SpMV decision, so the first `spmm` call on this
-                    // handle skips measurement entirely. A stale plan
-                    // is rebuilt for this backend (same policy, so the
-                    // searched decision survives the resize); a
-                    // quarantined kernel is dropped and re-tuned.
-                    let spmm = OnceLock::new();
-                    if let Some(cached) = &hit.spmm {
-                        if !self.health.quarantined(cached.kernel) {
-                            let spmm_plan = if cached.plan.is_stale() {
-                                self.lib.build_plan(&matrix, cached.plan.policy)
-                            } else {
-                                cached.plan.clone()
-                            };
-                            let _ = spmm.set(SpmmPick::Tiled {
-                                kernel: cached.kernel,
-                                plan: spmm_plan,
-                            });
-                        }
-                    }
-                    let elapsed = t0.elapsed();
-                    self.cache.record(true, elapsed);
-                    return TunedSpmv {
-                        matrix,
-                        kernel: hit.kernel,
-                        plan,
-                        features: hit.features,
-                        decision: DecisionPath::Cached {
-                            source: Box::new(hit.source),
-                        },
-                        prepare_time: elapsed,
-                        fingerprint: key,
-                        spmm,
-                    };
+                    break Exit::Hit { matrix, entry: hit };
                 }
             }
             // Claim leadership or find the active leader. The cache is
@@ -807,39 +779,17 @@ impl<T: Scalar> Smat<T> {
                 }
             };
             let Some(marker) = follower else {
-                // Leader: tune, publish, then release the marker (the
-                // guard runs even if tuning panics).
-                let _guard = InflightGuard {
+                leader = Some(InflightGuard {
                     inflight: &self.inflight,
                     key,
-                };
-                let tuned = self.tune(csr, key, req_deadline);
-                // A degraded decision reflects a transient or
-                // input-specific failure (poisoned values, every
-                // candidate failing): never cache it, so a healthy
-                // matrix of the same structure re-tunes.
-                if !tuned.decision.is_degraded() {
-                    self.cache.insert(
-                        key,
-                        CachedDecision {
-                            format: tuned.format(),
-                            kernel: tuned.kernel,
-                            features: tuned.features,
-                            source: tuned.decision.clone(),
-                            plan: tuned.plan.clone(),
-                            spmm: None,
-                        },
-                    );
-                }
-                self.cache.record(false, t0.elapsed());
-                return tuned;
+                });
+                break self.tune(csr, req_deadline);
             };
             // Follower: wait for the leader, bounded by the configured
             // deadline, then loop to replay its published decision (or
             // take over leadership if it degraded).
             self.cache.record_coalesced_wait();
             if !marker.wait_until(wait_deadline) {
-                let features = extract_structure(csr).features;
                 let reason = if req_deadline.is_some_and(|d| d <= Instant::now()) {
                     "request deadline expired while waiting on an in-flight tuning run; \
                      serving the reference kernel"
@@ -850,34 +800,111 @@ impl<T: Scalar> Smat<T> {
                         self.config.single_flight_wait
                     )
                 };
-                let tuned = self.degrade(csr, features, reason, t0, key);
-                self.cache.record(false, t0.elapsed());
-                return tuned;
+                break Exit::Degraded {
+                    reason,
+                    features: None,
+                };
             }
+        };
+        let hit = matches!(exit, Exit::Hit { .. });
+        let tuned = self.finish(csr, key, t0, req_deadline, exit);
+        // A degraded decision reflects a transient or input-specific
+        // failure (poisoned values, every candidate failing): never
+        // cache it, so a healthy matrix of the same structure re-tunes.
+        if leader.is_some() && !tuned.decision.is_degraded() {
+            self.cache.insert(
+                key,
+                CachedDecision {
+                    format: tuned.format(),
+                    kernel: tuned.kernel,
+                    features: tuned.features,
+                    source: tuned.decision.clone(),
+                    plan: tuned.plan.clone(),
+                    spmm: None,
+                },
+            );
+        }
+        self.cache.record(hit, t0.elapsed());
+        tuned
+    }
+
+    /// Finishes one pipeline exit into the [`TunedSpmv`] handle — the
+    /// only place one is built. A cache hit replays its plan and SpMM
+    /// pick (rebuilding stale ones, dropping a quarantined pick), a
+    /// fresh decision gets its plan refined, and a degraded one is
+    /// pinned to the reference CSR kernel with a serial plan.
+    fn finish(
+        &self,
+        csr: &Csr<T>,
+        key: StructuralFingerprint,
+        t0: Instant,
+        req_deadline: Option<Instant>,
+        exit: Exit<T>,
+    ) -> TunedSpmv<T> {
+        let spmm = OnceLock::new();
+        let (matrix, kernel, plan, features, decision) = match exit {
+            Exit::Hit { matrix, mut entry } => {
+                if self.refresh_stale(&matrix, &mut entry.plan) {
+                    self.cache.insert(key, entry.clone());
+                }
+                // Replay the cached multi-RHS pick alongside the SpMV
+                // decision, so the first `spmm` call on this handle
+                // skips measurement entirely; a quarantined kernel is
+                // dropped and re-tuned.
+                if let Some(mut pick) = entry.spmm.filter(|p| !self.health.quarantined(p.kernel)) {
+                    self.refresh_stale(&matrix, &mut pick.plan);
+                    let _ = spmm.set(SpmmPick::Tiled {
+                        kernel: pick.kernel,
+                        plan: pick.plan,
+                    });
+                }
+                let decision = DecisionPath::Cached {
+                    source: Box::new(entry.source),
+                };
+                (matrix, entry.kernel, entry.plan, entry.features, decision)
+            }
+            Exit::Tuned {
+                matrix,
+                kernel,
+                mut features,
+                decision,
+            } => {
+                let plan = self.refine_plan(&matrix, kernel, &mut features, req_deadline);
+                (matrix, kernel, plan, features.features, decision)
+            }
+            Exit::Degraded { reason, features } => {
+                self.health.note_degraded_prepare();
+                (
+                    AnyMatrix::Csr(csr.clone()),
+                    KernelId::basic(Format::Csr),
+                    ExecPlan::serial(csr.rows()),
+                    features.unwrap_or_else(|| extract_structure(csr).features),
+                    DecisionPath::Degraded { reason },
+                )
+            }
+        };
+        TunedSpmv {
+            matrix,
+            kernel,
+            plan,
+            features,
+            decision,
+            prepare_time: t0.elapsed(),
+            fingerprint: key,
+            spmm,
         }
     }
 
-    /// Builds the degraded-mode result: the matrix stays in CSR and the
-    /// reference (variant 0) CSR kernel runs it.
-    fn degrade(
-        &self,
-        csr: &Csr<T>,
-        features: FeatureVector,
-        reason: String,
-        t0: Instant,
-        fingerprint: StructuralFingerprint,
-    ) -> TunedSpmv<T> {
-        self.health.note_degraded_prepare();
-        TunedSpmv {
-            matrix: AnyMatrix::Csr(csr.clone()),
-            kernel: KernelId::basic(Format::Csr),
-            plan: ExecPlan::serial(csr.rows()),
-            features,
-            decision: DecisionPath::Degraded { reason },
-            prepare_time: t0.elapsed(),
-            fingerprint,
-            spmm: OnceLock::new(),
+    /// Rebuilds a cached plan sized for a different thread count (e.g.
+    /// a snapshot written on another machine) for this backend. The
+    /// rebuild keeps the recorded chunk policy, so a plan-searched
+    /// decision survives the resize. Returns whether it was stale.
+    fn refresh_stale(&self, matrix: &AnyMatrix<T>, plan: &mut ExecPlan) -> bool {
+        let stale = plan.is_stale();
+        if stale {
+            *plan = self.lib.build_plan(matrix, plan.policy);
         }
+        stale
     }
 
     /// Upgrades the default plan for `kernel` on `matrix` by searching
@@ -888,26 +915,18 @@ impl<T: Scalar> Smat<T> {
     /// forced it) reports a scale-free row-degree distribution — the
     /// structures where uniform row splits lose. Near-uniform matrices
     /// keep the default plan with zero extra measurements.
-    #[allow(clippy::too_many_arguments)]
     fn refine_plan(
         &self,
         matrix: &AnyMatrix<T>,
         kernel: KernelId,
-        row_degrees: &[usize],
-        features: &mut FeatureVector,
-        r_computed: &mut bool,
-        planner: &mut smat_kernels::Planner,
+        features: &mut LazyFeatures,
         req_deadline: Option<Instant>,
     ) -> ExecPlan {
-        let default_plan = planner.plan_for(&self.lib, matrix, kernel);
+        let default_plan = self.lib.plan_for(matrix, kernel);
         if !self.config.plan_search || default_plan.is_serial() || matrix.format() != Format::Csr {
             return default_plan;
         }
-        if !*r_computed {
-            features.r = smat_features::fit_power_law_of_degrees(row_degrees.iter().copied());
-            *r_computed = true;
-        }
-        if features.r >= smat_features::R_NOT_SCALE_FREE {
+        if features.with_r().r >= smat_features::R_NOT_SCALE_FREE {
             return default_plan;
         }
         // A request deadline clamps the per-candidate plan-search
@@ -947,50 +966,33 @@ impl<T: Scalar> Smat<T> {
     /// The uncached Figure 7 pipeline. `req_deadline`, when set, is a
     /// hard wall-clock bound propagated into every measured stage (see
     /// [`Smat::prepare_with_deadline`]).
-    fn tune(
-        &self,
-        csr: &Csr<T>,
-        fingerprint: StructuralFingerprint,
-        req_deadline: Option<Instant>,
-    ) -> TunedSpmv<T> {
-        let t0 = Instant::now();
-        if req_deadline.is_some_and(|d| d <= t0) {
-            let features = extract_structure(csr).features;
-            return self.degrade(
-                csr,
-                features,
-                "request deadline expired before tuning; serving the reference kernel".to_string(),
-                t0,
-                fingerprint,
-            );
+    fn tune(&self, csr: &Csr<T>, req_deadline: Option<Instant>) -> Exit<T> {
+        if req_deadline.is_some_and(|d| d <= Instant::now()) {
+            return Exit::Degraded {
+                reason: "request deadline expired before tuning; serving the reference kernel"
+                    .to_string(),
+                features: None,
+            };
         }
         // Input screening: a poisoned matrix (NaN/Inf values) would
         // corrupt every fallback measurement and the tuned result
         // alike, so it is quarantined to the reference path up front.
         // Feature extraction is value-blind, so it stays safe to run
         // for observability.
-        let limits = self.config.conversion_limits();
         if self.config.screen_inputs {
             if let Some((row, col)) = csr.first_non_finite() {
-                let features = extract_structure(csr).features;
-                return self.degrade(
-                    csr,
-                    features,
-                    format!("non-finite value at ({row}, {col}); input quarantined"),
-                    t0,
-                    fingerprint,
-                );
+                return Exit::Degraded {
+                    reason: format!("non-finite value at ({row}, {col}); input quarantined"),
+                    features: None,
+                };
             }
         }
-        // Step 1 features; R is filled lazily below.
+        let limits = self.config.conversion_limits();
         let structure = extract_structure(csr);
-        let mut features = structure.features;
-        let mut r_computed = false;
-        // One planner per tuning run: the predicted and measured exits
-        // below may plan for different kernels that share a chunk
-        // policy, and the partition bounds are computed once per
-        // (policy, thread count) rather than once per request.
-        let mut planner = smat_kernels::Planner::new();
+        let mut features = LazyFeatures {
+            features: structure.features,
+            pending_r: Some(structure.row_degrees),
+        };
 
         // Consult groups in order with the optimistic early exit.
         let mut first_match: Option<(Format, f64)> = None;
@@ -998,12 +1000,11 @@ impl<T: Scalar> Smat<T> {
             if group.rules.is_empty() {
                 continue;
             }
-            if !r_computed && group_tests_r(group) {
-                features.r =
-                    smat_features::fit_power_law_of_degrees(structure.row_degrees.iter().copied());
-                r_computed = true;
-            }
-            let values = features.as_array();
+            let values = if group_tests_r(group) {
+                features.with_r().as_array()
+            } else {
+                features.features.as_array()
+            };
             if group.rules.iter().any(|r| r.matches(&values)) {
                 first_match = Some((Format::from_index(group.class), group.confidence));
                 break;
@@ -1013,24 +1014,11 @@ impl<T: Scalar> Smat<T> {
         if let Some((format, confidence)) = first_match {
             if confidence >= self.config.confidence_threshold {
                 if let Ok(matrix) = AnyMatrix::convert_from_csr_with(csr, format, &limits) {
-                    let kernel = self.effective_kernel(format);
-                    return TunedSpmv {
-                        plan: self.refine_plan(
-                            &matrix,
-                            kernel,
-                            &structure.row_degrees,
-                            &mut features,
-                            &mut r_computed,
-                            &mut planner,
-                            req_deadline,
-                        ),
-                        kernel,
+                    return Exit::Tuned {
                         matrix,
+                        kernel: self.effective_kernel(format),
                         features,
                         decision: DecisionPath::Predicted { confidence },
-                        prepare_time: t0.elapsed(),
-                        fingerprint,
-                        spmm: OnceLock::new(),
                     };
                 }
                 // Conversion refused (fill blow-up or byte budget):
@@ -1094,30 +1082,15 @@ impl<T: Scalar> Smat<T> {
             }
         }
         match best {
-            Some((format, _, matrix)) => {
-                let kernel = self.effective_kernel(format);
-                TunedSpmv {
-                    plan: self.refine_plan(
-                        &matrix,
-                        kernel,
-                        &structure.row_degrees,
-                        &mut features,
-                        &mut r_computed,
-                        &mut planner,
-                        req_deadline,
-                    ),
-                    kernel,
-                    matrix,
-                    features,
-                    decision: DecisionPath::Measured {
-                        candidates: measured,
-                        failures,
-                    },
-                    prepare_time: t0.elapsed(),
-                    fingerprint,
-                    spmm: OnceLock::new(),
-                }
-            }
+            Some((format, _, matrix)) => Exit::Tuned {
+                matrix,
+                kernel: self.effective_kernel(format),
+                features,
+                decision: DecisionPath::Measured {
+                    candidates: measured,
+                    failures,
+                },
+            },
             None => {
                 // Every candidate was pruned or failed measurement:
                 // degrade to the reference CSR kernel rather than fail.
@@ -1125,13 +1098,10 @@ impl<T: Scalar> Smat<T> {
                     .iter()
                     .map(|(f, why)| format!("{f:?}: {why}"))
                     .collect();
-                self.degrade(
-                    csr,
-                    features,
-                    format!("all fallback candidates failed [{}]", detail.join("; ")),
-                    t0,
-                    fingerprint,
-                )
+                Exit::Degraded {
+                    reason: format!("all fallback candidates failed [{}]", detail.join("; ")),
+                    features: Some(features.features),
+                }
             }
         }
     }
@@ -1159,118 +1129,110 @@ impl<T: Scalar> Smat<T> {
     /// [`SmatError::KernelPanic`] only in the double-fault case where
     /// the reference re-execution itself panics.
     pub fn spmv(&self, tuned: &TunedSpmv<T>, x: &[T], y: &mut [T]) -> Result<()> {
-        if x.len() != tuned.matrix.cols() {
-            return Err(SmatError::Matrix(
-                smat_matrix::MatrixError::DimensionMismatch {
-                    context: "smat spmv x",
-                    expected: tuned.matrix.cols(),
-                    found: x.len(),
-                },
-            ));
-        }
-        if y.len() != tuned.matrix.rows() {
-            return Err(SmatError::Matrix(
-                smat_matrix::MatrixError::DimensionMismatch {
-                    context: "smat spmv y",
-                    expected: tuned.matrix.rows(),
-                    found: y.len(),
-                },
-            ));
-        }
-        let call = self.health.tick(Op::Spmv);
+        check_len("smat spmv x", tuned.matrix.cols(), x.len())?;
+        check_len("smat spmv y", tuned.matrix.rows(), y.len())?;
+        self.contained(
+            tuned,
+            tuned.kernel,
+            &tuned.plan,
+            x,
+            y,
+            |plan, y| {
+                self.lib
+                    .run_planned(&tuned.matrix, tuned.kernel.variant, plan, x, y)
+            },
+            |y| self.run_reference(tuned, x, y),
+        )
+    }
+
+    /// The execution-time containment boundary behind [`Smat::spmv`]
+    /// and [`Smat::spmm`], with the contract documented on `spmv`.
+    /// `run` executes `kernel` under `plan`; `reference` re-executes the
+    /// product through the format's reference kernel, fully overwriting
+    /// `y`. The happy path takes no lock and allocates nothing.
+    #[allow(clippy::too_many_arguments)]
+    fn contained(
+        &self,
+        tuned: &TunedSpmv<T>,
+        kernel: KernelId,
+        plan: &ExecPlan,
+        x: &[T],
+        y: &mut [T],
+        run: impl FnOnce(&ExecPlan, &mut [T]),
+        reference: impl FnOnce(&mut [T]) -> Result<()>,
+    ) -> Result<()> {
+        let call = self.health.tick(kernel.op);
         // Degradation ladder: a demoted engine substitutes a serial
         // plan for parallel dispatches until a pool re-probe succeeds.
         // The substitute plan is built per call (demoted rung only —
         // never the happy path, so the zero-allocation guarantee
-        // holds).
-        let mut watch_pool = false;
-        let mut pool_probe = false;
+        // holds). `pool` is `Some(probe)` when the call fans out.
         let serial_plan;
-        let mut plan = &tuned.plan;
+        let mut plan = plan;
+        let mut pool = None;
         if !plan.is_serial() {
             match self.health.pool_mode(call) {
-                PoolMode::Normal => watch_pool = true,
-                PoolMode::Probe => {
-                    watch_pool = true;
-                    pool_probe = true;
-                }
+                PoolMode::Normal => pool = Some(false),
+                PoolMode::Probe => pool = Some(true),
                 PoolMode::Demoted => {
                     serial_plan = ExecPlan::serial(tuned.matrix.rows());
                     plan = &serial_plan;
                 }
             }
         }
-        // Breaker admission. `needs_attention` is one relaxed load, so
-        // a healthy engine takes no lock here.
+        // Breaker admission, keyed by the given kernel: an SpMM pick
+        // quarantines independently of the handle's SpMV kernel.
+        // `needs_attention` is one relaxed load, so a healthy engine
+        // takes no lock here.
         let mut probing = false;
         if self.health.needs_attention() {
-            match self.health.admit(tuned.kernel, call) {
+            match self.health.admit(kernel, call) {
                 Admission::Run => {}
                 Admission::Probe => probing = true,
-                Admission::Fallback => return self.run_reference(tuned, x, y),
+                Admission::Fallback => return reference(y),
             }
         }
-        let faults_before = if watch_pool {
-            smat_kernels::exec::dispatch_fault_count()
-        } else {
-            0
+        let pool = pool.map(|probe| (probe, smat_kernels::exec::dispatch_fault_count()));
+        let pool_outcome = || {
+            if let Some((probe, faults_before)) = pool {
+                let faulted = smat_kernels::exec::dispatch_fault_count() > faults_before;
+                self.health.pool_outcome(faulted, probe, call);
+            }
         };
-        // The containment boundary. Failpoint `exec.kernel`: a
-        // scripted fault inside the guard becomes a contained kernel
-        // panic, exactly like a real one.
-        let run = catch_unwind(AssertUnwindSafe(|| {
+        // Failpoint `exec.kernel`: a scripted fault inside the guard
+        // becomes a contained kernel panic, exactly like a real one.
+        let ran = catch_unwind(AssertUnwindSafe(|| {
             if let Some(fault) = smat_failpoints::check("exec.kernel") {
                 std::panic::panic_any(fault.to_string());
             }
-            self.lib
-                .run_planned(&tuned.matrix, tuned.kernel.variant, plan, x, y);
+            run(plan, y);
         }));
-        if let Err(payload) = run {
-            self.contain_fault(
-                tuned,
-                tuned.kernel,
-                FaultKind::Panic,
-                panic_message(payload.as_ref()),
-                probing,
-                call,
-            );
-            return self.run_reference(tuned, x, y);
+        if let Err(payload) = ran {
+            let message = panic_message(payload.as_ref());
+            self.contain_fault(tuned, kernel, FaultKind::Panic, message, probing, call);
+            return reference(y);
         }
         // Output screening: a non-finite product from finite inputs is
         // a kernel fault (wrong indexing reading poison, a bad
         // reduction). The reference re-run is the arbiter: if it also
-        // produces non-finite values the data itself is poisoned and no
-        // incident is recorded.
-        if self.config.screen_outputs && y.iter().any(|v| !v.is_finite()) {
-            let inputs_finite = x.iter().all(|v| v.is_finite());
-            if inputs_finite {
-                let reference = self.run_reference(tuned, x, y);
-                if y.iter().all(|v| v.is_finite()) {
-                    self.contain_fault(
-                        tuned,
-                        tuned.kernel,
-                        FaultKind::NonFinite,
-                        "non-finite output from finite inputs".to_string(),
-                        probing,
-                        call,
-                    );
-                    if watch_pool {
-                        let faulted = smat_kernels::exec::dispatch_fault_count() > faults_before;
-                        self.health.pool_outcome(faulted, pool_probe, call);
-                    }
-                    return reference;
-                }
-                // Reference agrees the product is non-finite: poisoned
-                // matrix values, not a kernel fault. Serve it.
+        // produces non-finite values the data itself is poisoned, no
+        // incident is recorded, and its product is served.
+        if self.config.screen_outputs
+            && y.iter().any(|v| !v.is_finite())
+            && x.iter().all(|v| v.is_finite())
+        {
+            let served = reference(y);
+            if y.iter().all(|v| v.is_finite()) {
+                let message = "non-finite output from finite inputs".to_string();
+                self.contain_fault(tuned, kernel, FaultKind::NonFinite, message, probing, call);
+                pool_outcome();
+                return served;
             }
         }
         if probing {
-            self.health.on_probe_success(tuned.kernel);
+            self.health.on_probe_success(kernel);
         }
-        if watch_pool {
-            let faulted = smat_kernels::exec::dispatch_fault_count() > faults_before;
-            self.health.pool_outcome(faulted, pool_probe, call);
-        }
+        pool_outcome();
         Ok(())
     }
 
@@ -1279,17 +1241,10 @@ impl<T: Scalar> Smat<T> {
     /// `y`, so this also restores output clobbered by a faulted tuned
     /// run.
     fn run_reference(&self, tuned: &TunedSpmv<T>, x: &[T], y: &mut [T]) -> Result<()> {
-        match catch_unwind(AssertUnwindSafe(|| {
-            self.lib.run(&tuned.matrix, 0, x, y);
-        })) {
-            Ok(()) => Ok(()),
-            // Double fault: the serial reference itself panicked. At
-            // this point there is nothing left to fall back to.
-            Err(payload) => Err(SmatError::KernelPanic {
-                what: format!("reference {} kernel", tuned.format()),
-                message: panic_message(payload.as_ref()),
-            }),
-        }
+        reference_run(
+            || format!("reference {} kernel", tuned.format()),
+            || self.lib.run(&tuned.matrix, 0, x, y),
+        )
     }
 
     /// Records one contained execution fault against `kernel` (the
@@ -1361,118 +1316,29 @@ impl<T: Scalar> Smat<T> {
     /// [`SmatError::KernelPanic`] only when the reference re-execution
     /// itself panics.
     pub fn spmm(&self, tuned: &TunedSpmv<T>, x: &[T], y: &mut [T], k: usize) -> Result<()> {
-        if x.len() != tuned.matrix.cols() * k {
-            return Err(SmatError::Matrix(
-                smat_matrix::MatrixError::DimensionMismatch {
-                    context: "smat spmm x",
-                    expected: tuned.matrix.cols() * k,
-                    found: x.len(),
-                },
-            ));
-        }
-        if y.len() != tuned.matrix.rows() * k {
-            return Err(SmatError::Matrix(
-                smat_matrix::MatrixError::DimensionMismatch {
-                    context: "smat spmm y",
-                    expected: tuned.matrix.rows() * k,
-                    found: y.len(),
-                },
-            ));
-        }
+        check_len("smat spmm x", tuned.matrix.cols() * k, x.len())?;
+        check_len("smat spmm y", tuned.matrix.rows() * k, y.len())?;
         if k == 0 {
             return Ok(());
         }
-        let pick = tuned.spmm.get_or_init(|| self.tune_spmm(tuned, k));
-        let call = self.health.tick(Op::Spmm);
-        let (kernel, plan) = match pick {
-            SpmmPick::PerColumn => return self.run_spmm_fallback(tuned, x, y, k),
-            SpmmPick::Tiled { kernel, plan } => (*kernel, plan),
-        };
-        // Degradation ladder: a demoted engine substitutes a serial
-        // plan for parallel dispatches, exactly as in `spmv`.
-        let mut watch_pool = false;
-        let mut pool_probe = false;
-        let serial_plan;
-        let mut plan = plan;
-        if !plan.is_serial() {
-            match self.health.pool_mode(call) {
-                PoolMode::Normal => watch_pool = true,
-                PoolMode::Probe => {
-                    watch_pool = true;
-                    pool_probe = true;
-                }
-                PoolMode::Demoted => {
-                    serial_plan = ExecPlan::serial(tuned.matrix.rows());
-                    plan = &serial_plan;
-                }
+        match tuned.spmm.get_or_init(|| self.tune_spmm(tuned, k)) {
+            SpmmPick::PerColumn => {
+                self.health.tick(Op::Spmm);
+                self.run_spmm_fallback(tuned, x, y, k)
             }
-        }
-        // Breaker admission, keyed by the SpMM kernel id — the SpMM
-        // pick quarantines independently of the handle's SpMV kernel.
-        let mut probing = false;
-        if self.health.needs_attention() {
-            match self.health.admit(kernel, call) {
-                Admission::Run => {}
-                Admission::Probe => probing = true,
-                Admission::Fallback => return self.run_spmm_reference(tuned, x, y, k),
-            }
-        }
-        let faults_before = if watch_pool {
-            smat_kernels::exec::dispatch_fault_count()
-        } else {
-            0
-        };
-        // The containment boundary; failpoint `exec.kernel` scripts a
-        // fault here exactly as for `spmv`.
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            if let Some(fault) = smat_failpoints::check("exec.kernel") {
-                std::panic::panic_any(fault.to_string());
-            }
-            self.lib
-                .run_spmm_planned(&tuned.matrix, kernel.variant, plan, x, y, k);
-        }));
-        if let Err(payload) = run {
-            self.contain_fault(
+            SpmmPick::Tiled { kernel, plan } => self.contained(
                 tuned,
-                kernel,
-                FaultKind::Panic,
-                panic_message(payload.as_ref()),
-                probing,
-                call,
-            );
-            return self.run_spmm_reference(tuned, x, y, k);
+                *kernel,
+                plan,
+                x,
+                y,
+                |plan, y| {
+                    self.lib
+                        .run_spmm_planned(&tuned.matrix, kernel.variant, plan, x, y, k)
+                },
+                |y| self.run_spmm_reference(tuned, x, y, k),
+            ),
         }
-        // Output screening with the reference re-run as arbiter, as in
-        // `spmv`.
-        if self.config.screen_outputs && y.iter().any(|v| !v.is_finite()) {
-            let inputs_finite = x.iter().all(|v| v.is_finite());
-            if inputs_finite {
-                let reference = self.run_spmm_reference(tuned, x, y, k);
-                if y.iter().all(|v| v.is_finite()) {
-                    self.contain_fault(
-                        tuned,
-                        kernel,
-                        FaultKind::NonFinite,
-                        "non-finite output from finite inputs".to_string(),
-                        probing,
-                        call,
-                    );
-                    if watch_pool {
-                        let faulted = smat_kernels::exec::dispatch_fault_count() > faults_before;
-                        self.health.pool_outcome(faulted, pool_probe, call);
-                    }
-                    return reference;
-                }
-            }
-        }
-        if probing {
-            self.health.on_probe_success(kernel);
-        }
-        if watch_pool {
-            let faulted = smat_kernels::exec::dispatch_fault_count() > faults_before;
-            self.health.pool_outcome(faulted, pool_probe, call);
-        }
-        Ok(())
     }
 
     /// First-call SpMM tuning: measure the format's tiled variants
@@ -1557,16 +1423,10 @@ impl<T: Scalar> Smat<T> {
         if self.lib.spmm_variant_count(tuned.matrix.format()) == 0 {
             return self.run_spmm_fallback(tuned, x, y, k);
         }
-        match catch_unwind(AssertUnwindSafe(|| {
-            self.lib.run_spmm(&tuned.matrix, 0, x, y, k);
-        })) {
-            Ok(()) => Ok(()),
-            // Double fault: nothing left to fall back to.
-            Err(payload) => Err(SmatError::KernelPanic {
-                what: format!("reference {} spmm kernel", tuned.format()),
-                message: panic_message(payload.as_ref()),
-            }),
-        }
+        reference_run(
+            || format!("reference {} spmm kernel", tuned.format()),
+            || self.lib.run_spmm(&tuned.matrix, 0, x, y, k),
+        )
     }
 
     /// The per-column SpMM tier for formats without tiled kernels:
@@ -1580,28 +1440,22 @@ impl<T: Scalar> Smat<T> {
         y: &mut [T],
         k: usize,
     ) -> Result<()> {
-        let rows = tuned.matrix.rows();
-        let cols = tuned.matrix.cols();
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            let mut xj = vec![T::ZERO; cols];
-            let mut yj = vec![T::ZERO; rows];
-            for j in 0..k {
-                for (c, slot) in xj.iter_mut().enumerate() {
-                    *slot = x[c * k + j];
+        reference_run(
+            || format!("per-column {} spmm fallback", tuned.format()),
+            || {
+                let mut xj = vec![T::ZERO; tuned.matrix.cols()];
+                let mut yj = vec![T::ZERO; tuned.matrix.rows()];
+                for j in 0..k {
+                    for (c, slot) in xj.iter_mut().enumerate() {
+                        *slot = x[c * k + j];
+                    }
+                    self.lib.run(&tuned.matrix, 0, &xj, &mut yj);
+                    for (r, &v) in yj.iter().enumerate() {
+                        y[r * k + j] = v;
+                    }
                 }
-                self.lib.run(&tuned.matrix, 0, &xj, &mut yj);
-                for (r, &v) in yj.iter().enumerate() {
-                    y[r * k + j] = v;
-                }
-            }
-        }));
-        match run {
-            Ok(()) => Ok(()),
-            Err(payload) => Err(SmatError::KernelPanic {
-                what: format!("per-column {} spmm fallback", tuned.format()),
-                message: panic_message(payload.as_ref()),
-            }),
-        }
+            },
+        )
     }
 
     /// One-shot unified interface: tune and multiply in one call. For
@@ -1704,7 +1558,6 @@ fn snapshot_checksum(entries: &[(StructuralFingerprint, CachedDecision)]) -> Res
     Ok(fnv1a64(canonical.as_bytes()))
 }
 
-/// Whether any rule in the group tests the power-law attribute `R`.
 /// Clamps a configured budget to the time remaining before an optional
 /// request deadline (zero once the deadline has passed).
 fn clamp_to_deadline(budget: Duration, deadline: Option<Instant>) -> Duration {
@@ -1714,6 +1567,45 @@ fn clamp_to_deadline(budget: Duration, deadline: Option<Instant>) -> Duration {
     }
 }
 
+/// Rejects a model, installation or cache snapshot made for the other
+/// floating-point precision.
+fn check_precision<T: Scalar>(precision: &str) -> Result<()> {
+    if precision == T::PRECISION_NAME {
+        return Ok(());
+    }
+    Err(SmatError::PrecisionMismatch {
+        model: precision.to_string(),
+        data: T::PRECISION_NAME,
+    })
+}
+
+/// The length check of the public products: `found` elements where the
+/// matrix shape asks for `expected`.
+fn check_len(context: &'static str, expected: usize, found: usize) -> Result<()> {
+    if expected == found {
+        return Ok(());
+    }
+    Err(SmatError::Matrix(
+        smat_matrix::MatrixError::DimensionMismatch {
+            context,
+            expected,
+            found,
+        },
+    ))
+}
+
+/// Runs a reference re-execution. A panic here is the double fault —
+/// the reference is what a faulted kernel falls back to, so nothing is
+/// left below it — and surfaces as [`SmatError::KernelPanic`] naming
+/// `what`.
+fn reference_run(what: impl FnOnce() -> String, run: impl FnOnce()) -> Result<()> {
+    catch_unwind(AssertUnwindSafe(run)).map_err(|payload| SmatError::KernelPanic {
+        what: what(),
+        message: panic_message(payload.as_ref()),
+    })
+}
+
+/// Whether any rule in the group tests the power-law attribute `R`.
 fn group_tests_r(group: &ClassGroup) -> bool {
     group
         .rules

@@ -60,11 +60,12 @@ use crate::proto::{
 };
 use serde::{Serialize, Value};
 use smat::{CacheSnapshot, HandleRegistry, HealthReport, Smat, TunedSpmv};
+use smat_kernels::panic_message;
 use smat_matrix::{Csr, StructuralFingerprint};
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 #[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::os::unix::net::UnixListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -151,51 +152,6 @@ enum Listener {
     Tcp(TcpListener),
     #[cfg(unix)]
     Unix(UnixListener, PathBuf),
-}
-
-/// One live client connection.
-enum Conn {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
-impl Conn {
-    fn set_read_timeout(&self, d: Duration) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.set_read_timeout(Some(d)),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.set_read_timeout(Some(d)),
-        }
-    }
-}
-
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.flush(),
-        }
-    }
 }
 
 /// Final counters reported by [`Server::run`] after a graceful drain.
@@ -393,37 +349,22 @@ impl Server {
         let mut conns: Vec<thread::JoinHandle<()>> = Vec::new();
         while !shared.draining() {
             conns.retain(|h| !h.is_finished());
+            // The read timeout goes on the accepted socket, so each
+            // connection thread owns a plain `Read + Write` stream.
+            let timeout = Some(shared.config.read_timeout);
             let accepted = match &listener {
-                Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
+                Listener::Tcp(l) => l.accept().map(|(s, _)| {
+                    let _ = s.set_read_timeout(timeout);
+                    spawn_connection(&shared, s)
+                }),
                 #[cfg(unix)]
-                Listener::Unix(l, _) => l.accept().map(|(s, _)| Conn::Unix(s)),
+                Listener::Unix(l, _) => l.accept().map(|(s, _)| {
+                    let _ = s.set_read_timeout(timeout);
+                    spawn_connection(&shared, s)
+                }),
             };
             match accepted {
-                Ok(conn) => {
-                    // Failpoint `service.accept`: the connection is
-                    // dropped as if the handshake failed.
-                    if smat_failpoints::check("service.accept").is_some() {
-                        ServiceMetrics::inc(&shared.metrics.accept_faults);
-                        continue;
-                    }
-                    ServiceMetrics::inc(&shared.metrics.accepted_connections);
-                    shared
-                        .metrics
-                        .open_connections
-                        .fetch_add(1, Ordering::Relaxed);
-                    let shared = Arc::clone(&shared);
-                    let handle = thread::Builder::new()
-                        .name("smat-serve-conn".to_string())
-                        .spawn(move || {
-                            handle_connection(&shared, conn);
-                            shared
-                                .metrics
-                                .open_connections
-                                .fetch_sub(1, Ordering::Relaxed);
-                        })
-                        .expect("spawning a connection thread");
-                    conns.push(handle);
-                }
+                Ok(handle) => conns.extend(handle),
                 Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock) => {
                     thread::sleep(ACCEPT_POLL);
                 }
@@ -485,14 +426,75 @@ impl Server {
 // Connection threads
 // ---------------------------------------------------------------------
 
-fn handle_connection(shared: &Arc<Shared>, mut conn: Conn) {
-    let _ = conn.set_read_timeout(shared.config.read_timeout);
-    let mut buf: Vec<u8> = Vec::new();
+/// Splits a connection's byte stream into newline-terminated frames.
+/// Each scan resumes where the previous one stopped, so every byte is
+/// examined for the terminator once and a frame dribbled in over many
+/// small reads costs time linear in its length.
+#[derive(Default)]
+struct Frames {
+    buf: Vec<u8>,
+    /// Leading bytes of `buf` already searched: none is a newline.
+    scanned: usize,
+    /// Bytes examined for a terminator so far (the linear-scan audit).
+    #[cfg(test)]
+    examined: usize,
+}
+
+impl Frames {
+    /// The next complete frame, without its newline.
+    fn next_frame(&mut self) -> Option<Vec<u8>> {
+        let found = self.buf[self.scanned..].iter().position(|&b| b == b'\n');
+        #[cfg(test)]
+        {
+            self.examined += found.map_or(self.buf.len() - self.scanned, |p| p + 1);
+        }
+        let Some(pos) = found else {
+            self.scanned = self.buf.len();
+            return None;
+        };
+        let mut frame: Vec<u8> = self.buf.drain(..=self.scanned + pos).collect();
+        frame.pop();
+        self.scanned = 0;
+        Some(frame)
+    }
+}
+
+/// Runs one accepted connection on its own thread. `None` when the
+/// `service.accept` failpoint drops it as if the handshake failed.
+fn spawn_connection<S: Read + Write + Send + 'static>(
+    shared: &Arc<Shared>,
+    conn: S,
+) -> Option<thread::JoinHandle<()>> {
+    if smat_failpoints::check("service.accept").is_some() {
+        ServiceMetrics::inc(&shared.metrics.accept_faults);
+        return None;
+    }
+    ServiceMetrics::inc(&shared.metrics.accepted_connections);
+    shared
+        .metrics
+        .open_connections
+        .fetch_add(1, Ordering::Relaxed);
+    let shared = Arc::clone(shared);
+    let handle = thread::Builder::new()
+        .name("smat-serve-conn".to_string())
+        .spawn(move || {
+            handle_connection(&shared, conn);
+            shared
+                .metrics
+                .open_connections
+                .fetch_sub(1, Ordering::Relaxed);
+        })
+        .expect("spawning a connection thread");
+    Some(handle)
+}
+
+fn handle_connection(shared: &Arc<Shared>, mut conn: impl Read + Write) {
+    let mut frames = Frames::default();
     let mut chunk = [0u8; 4096];
     let mut frame_started: Option<Instant> = None;
     let mut scratch = Scratch::default();
     'conn: loop {
-        if shared.draining() && buf.is_empty() {
+        if shared.draining() && frames.buf.is_empty() {
             // Idle connection during drain: close; the client
             // reconnects elsewhere. Mid-frame connections fall through
             // and get to finish (bounded by the frame timeout).
@@ -506,7 +508,7 @@ fn handle_connection(shared: &Arc<Shared>, mut conn: Conn) {
         }
         match conn.read(&mut chunk) {
             Ok(0) => {
-                if !buf.is_empty() {
+                if !frames.buf.is_empty() {
                     ServiceMetrics::inc(&shared.metrics.torn_frames);
                 }
                 break;
@@ -515,19 +517,18 @@ fn handle_connection(shared: &Arc<Shared>, mut conn: Conn) {
                 if frame_started.is_none() {
                     frame_started = Some(Instant::now());
                 }
-                buf.extend_from_slice(&chunk[..n]);
-                while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-                    let frame: Vec<u8> = buf.drain(..=pos).collect();
-                    frame_started = if buf.is_empty() {
+                frames.buf.extend_from_slice(&chunk[..n]);
+                while let Some(frame) = frames.next_frame() {
+                    frame_started = if frames.buf.is_empty() {
                         None
                     } else {
                         Some(Instant::now())
                     };
-                    if !process_frame(shared, &mut conn, &mut scratch, &frame[..frame.len() - 1]) {
+                    if !process_frame(shared, &mut conn, &mut scratch, &frame) {
                         break 'conn;
                     }
                 }
-                if buf.len() > shared.config.max_frame_bytes {
+                if frames.buf.len() > shared.config.max_frame_bytes {
                     ServiceMetrics::inc(&shared.metrics.oversized_frames);
                     let resp = Response::error(format!(
                         "frame exceeds {} bytes; closing connection",
@@ -553,7 +554,7 @@ fn handle_connection(shared: &Arc<Shared>, mut conn: Conn) {
                 }
             }
             Err(_) => {
-                if !buf.is_empty() {
+                if !frames.buf.is_empty() {
                     ServiceMetrics::inc(&shared.metrics.torn_frames);
                 }
                 break;
@@ -566,27 +567,20 @@ fn handle_connection(shared: &Arc<Shared>, mut conn: Conn) {
 /// should close (shutdown acknowledged, or the response write failed).
 fn process_frame(
     shared: &Arc<Shared>,
-    conn: &mut Conn,
+    conn: &mut impl Write,
     scratch: &mut Scratch,
     frame: &[u8],
 ) -> bool {
-    let text = match std::str::from_utf8(frame) {
-        Ok(t) => t,
-        Err(_) => {
-            ServiceMetrics::inc(&shared.metrics.frames_invalid);
-            let resp = Response::error("frame is not valid UTF-8");
-            return write_response(shared, conn, &resp, false);
-        }
+    let parsed = match std::str::from_utf8(frame) {
+        Ok(text) if text.trim().is_empty() => return true,
+        Ok(text) => parse_request(text),
+        Err(_) => Err("frame is not valid UTF-8".to_string()),
     };
-    if text.trim().is_empty() {
-        return true;
-    }
-    let request = match parse_request(text) {
+    let request = match parsed {
         Ok(r) => r,
         Err(msg) => {
             ServiceMetrics::inc(&shared.metrics.frames_invalid);
-            let resp = Response::error(msg);
-            return write_response(shared, conn, &resp, false);
+            return write_response(shared, conn, &Response::error(msg), false);
         }
     };
     ServiceMetrics::inc(&shared.metrics.frames_valid);
@@ -683,7 +677,7 @@ fn handle_work(shared: &Arc<Shared>, work: WorkRequest, scratch: &mut Scratch) -
         } else {
             "engine health: pool demoted or kernels quarantined".to_string()
         };
-        return degraded_now(&work, &reason);
+        return degraded_now(&work, matrix, &reason, scratch);
     }
     let (tx, rx) = mpsc::channel();
     let job = Job {
@@ -717,127 +711,123 @@ fn warm_call(
     scratch: &mut Scratch,
 ) -> Response {
     let fp = tuned.fingerprint();
-    let (rows, cols) = (fp.rows, fp.cols);
     let kernel = shard.engine.library().info(tuned.kernel()).name;
-    let mut fields = vec![
+    let fields = vec![
         ("op", Value::Str(work.op.name().to_string())),
         ("handle", Value::Str(handle.encode())),
         ("format", Value::Str(tuned.format().to_string())),
         ("kernel", Value::Str(kernel.to_string())),
         ("warm", Value::Bool(true)),
     ];
-    match work.op {
-        WorkOp::Tune => {
-            // Tune never reaches here (parse rejects tune-by-handle),
-            // but answering the metadata alone is still correct.
-        }
-        WorkOp::Spmv => {
-            let x = match &work.x {
-                Some(x) => x.as_slice(),
-                None => {
-                    scratch.x.clear();
-                    scratch.x.resize(cols, 1.0);
-                    scratch.x.as_slice()
-                }
-            };
-            scratch.y.clear();
-            scratch.y.resize(rows, 0.0);
-            if let Err(e) = shard.engine.spmv(tuned, x, &mut scratch.y) {
-                return Response::error(format!("[{}] {e}", e.taxonomy()));
-            }
-            fields.push((
-                "y",
-                Value::Array(scratch.y.iter().copied().map(Value::Float).collect()),
-            ));
-        }
-        WorkOp::Spmm => {
-            let k = work.k;
-            // Same wire contract as the cold path: column-major block
-            // in, column-major block out; the engine wants row-major.
-            scratch.x.clear();
-            scratch.x.resize(cols * k, 1.0);
-            if let Some(wire) = &work.x {
-                for (j, column) in wire.chunks_exact(cols).enumerate() {
-                    for (c, &v) in column.iter().enumerate() {
-                        scratch.x[c * k + j] = v;
-                    }
-                }
-            }
-            scratch.y.clear();
-            scratch.y.resize(rows * k, 0.0);
-            if let Err(e) = shard.engine.spmm(tuned, &scratch.x, &mut scratch.y, k) {
-                return Response::error(format!("[{}] {e}", e.taxonomy()));
-            }
-            let mut out = Vec::with_capacity(rows * k);
-            for j in 0..k {
-                out.extend((0..rows).map(|r| Value::Float(scratch.y[r * k + j])));
-            }
-            if let Some(spmm_kernel) = tuned.spmm_kernel() {
-                let name = shard.engine.library().info(spmm_kernel).name;
-                fields.push(("spmm_kernel", Value::Str(name.to_string())));
-            }
-            fields.push(("k", Value::UInt(k as u64)));
-            fields.push(("y", Value::Array(out)));
-        }
-    }
-    Response::with(Status::Ok, fields)
+    // Tune never reaches here (parse rejects tune-by-handle), and
+    // `reply` answers it with the metadata alone.
+    let product =
+        |x: &[f64], y: &mut [f64], k| tuned_product(&shard.engine, tuned, work.op, x, y, k);
+    let dims = (fp.rows, fp.cols);
+    reply(work, dims, scratch, Status::Ok, fields, product)
 }
 
 /// Serves the reference serial CSR product immediately (ladder rung 4).
 /// Only inline requests reach this rung — a handle request either hits
 /// the registry or answers `handle_miss`; there is no matrix to degrade
 /// onto.
-fn degraded_now(work: &WorkRequest, reason: &str) -> Response {
-    let matrix: &Csr<f64> = match &work.source {
-        MatrixSource::Inline(m) => m,
-        MatrixSource::Handle(_) => {
-            return Response::error("internal: handle request reached the degraded rung")
-        }
-    };
-    let mut fields = vec![
+fn degraded_now(
+    work: &WorkRequest,
+    matrix: &Csr<f64>,
+    reason: &str,
+    scratch: &mut Scratch,
+) -> Response {
+    let fields = vec![
         ("op", Value::Str(work.op.name().to_string())),
         ("format", Value::Str("csr".to_string())),
         ("kernel", Value::Str("csr_basic_serial".to_string())),
         ("reason", Value::Str(reason.to_string())),
     ];
-    if work.op == WorkOp::Spmv {
-        let ones;
-        let x = match &work.x {
-            Some(x) => x.as_slice(),
-            None => {
-                ones = vec![1.0; matrix.cols()];
-                ones.as_slice()
+    // The degraded rung never touches the tuned tiers: the serial
+    // reference SpMM, whose `k = 1` case is the reference SpMV and whose
+    // columns are bitwise the reference SpMV of each right-hand side.
+    let product = |x: &[f64], y: &mut [f64], k| {
+        smat_kernels::spmm::csr_basic(matrix, x, y, k);
+        Ok(None)
+    };
+    let dims = (matrix.rows(), matrix.cols());
+    reply(work, dims, scratch, Status::Degraded, fields, product)
+}
+
+/// The engine's tuned product for [`reply`]: SpMV, or SpMM for
+/// an `spmm` request, echoing the SpMM kernel the handle carries.
+fn tuned_product(
+    engine: &Smat<f64>,
+    tuned: &TunedSpmv<f64>,
+    op: WorkOp,
+    x: &[f64],
+    y: &mut [f64],
+    k: usize,
+) -> Result<Option<&'static str>, String> {
+    let ran = if op == WorkOp::Spmm {
+        engine.spmm(tuned, x, y, k)
+    } else {
+        engine.spmv(tuned, x, y)
+    };
+    ran.map_err(|e| format!("[{}] {e}", e.taxonomy()))?;
+    Ok(tuned.spmm_kernel().map(|id| engine.library().info(id).name))
+}
+
+/// Runs the product a work request asks for and answers it with
+/// `status`, `fields` and the product: the one wire codec shared by the
+/// warm, cold and degraded paths. `x` is decoded into `scratch` — all ones when absent, and an
+/// spmm column-major block interleaved into the row-major layout the
+/// engine wants. `product(x, y, k)` fills `y` and returns the SpMM
+/// kernel to echo. `y` is encoded back column-major, after
+/// `spmm_kernel` and `k` for spmm. A tune request runs no product; a
+/// failed product answers with its error instead.
+fn reply(
+    work: &WorkRequest,
+    (rows, cols): (usize, usize),
+    scratch: &mut Scratch,
+    status: Status,
+    mut fields: Vec<(&'static str, Value)>,
+    product: impl FnOnce(&[f64], &mut [f64], usize) -> Result<Option<&'static str>, String>,
+) -> Response {
+    let k = match work.op {
+        WorkOp::Tune => return Response::with(status, fields),
+        WorkOp::Spmv => 1,
+        WorkOp::Spmm => work.k,
+    };
+    let x = match &work.x {
+        // One column reads the same in either layout.
+        Some(wire) if k == 1 => wire.as_slice(),
+        wire => {
+            scratch.x.clear();
+            scratch.x.resize(cols * k, 1.0);
+            if let Some(wire) = wire {
+                for (j, column) in wire.chunks_exact(cols).enumerate() {
+                    for (c, &v) in column.iter().enumerate() {
+                        scratch.x[c * k + j] = v;
+                    }
+                }
             }
-        };
-        let mut y = vec![0.0; matrix.rows()];
-        if let Err(e) = matrix.spmv(x, &mut y) {
-            return Response::error(format!("reference SpMV failed: {e}"));
+            scratch.x.as_slice()
         }
-        fields.push(("y", Value::Array(y.into_iter().map(Value::Float).collect())));
-    } else if work.op == WorkOp::Spmm {
-        // Column-by-column over the wire block: the degraded rung
-        // never touches the tiled tier, just the reference product.
-        let (rows, cols, k) = (matrix.rows(), matrix.cols(), work.k);
-        let ones;
-        let block = match &work.x {
-            Some(x) => x.as_slice(),
-            None => {
-                ones = vec![1.0; cols * k];
-                ones.as_slice()
-            }
-        };
-        let mut out = Vec::with_capacity(rows * k);
-        let mut y = vec![0.0; rows];
-        for column in block.chunks_exact(cols) {
-            if let Err(e) = matrix.spmv(column, &mut y) {
-                return Response::error(format!("reference SpMV failed: {e}"));
-            }
-            out.extend(y.iter().copied().map(Value::Float));
+    };
+    scratch.y.clear();
+    scratch.y.resize(rows * k, 0.0);
+    let spmm_kernel = match product(x, &mut scratch.y, k) {
+        Ok(name) => name,
+        Err(msg) => return Response::error(msg),
+    };
+    if work.op == WorkOp::Spmm {
+        if let Some(name) = spmm_kernel {
+            fields.push(("spmm_kernel", Value::Str(name.to_string())));
         }
         fields.push(("k", Value::UInt(k as u64)));
-        fields.push(("y", Value::Array(out)));
     }
-    Response::with(Status::Degraded, fields)
+    let mut y = Vec::with_capacity(rows * k);
+    for j in 0..k {
+        y.extend((0..rows).map(|r| Value::Float(scratch.y[r * k + j])));
+    }
+    fields.push(("y", Value::Array(y)));
+    Response::with(status, fields)
 }
 
 // ---------------------------------------------------------------------
@@ -852,20 +842,15 @@ fn worker_loop(shared: &Arc<Shared>) {
         // the pool cannot be wedged by a poisoned request.
         let resp =
             catch_unwind(AssertUnwindSafe(|| process_job(shared, job))).unwrap_or_else(|payload| {
-                Response::error(format!("worker panicked: {}", panic_text(&payload)))
+                Response::error(format!(
+                    "worker panicked: {}",
+                    panic_message(payload.as_ref())
+                ))
             });
         // The client may have given up (deadline, disconnect); a dead
         // channel is not the worker's problem.
         let _ = reply.send(resp);
     }
-}
-
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> &str {
-    payload
-        .downcast_ref::<&str>()
-        .copied()
-        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-        .unwrap_or("opaque panic payload")
 }
 
 fn process_job(shared: &Arc<Shared>, job: Job) -> Response {
@@ -876,13 +861,7 @@ fn process_job(shared: &Arc<Shared>, job: Job) -> Response {
     if job.deadline <= Instant::now() {
         return Response::deadline_miss("queued");
     }
-    let Job {
-        work,
-        shard: shard_idx,
-        deadline,
-        ..
-    } = job;
-    let shard = &shared.shards[shard_idx];
+    let (work, shard) = (&job.work, &shared.shards[job.shard]);
     let matrix: &Csr<f64> = match &work.source {
         MatrixSource::Inline(m) => m,
         MatrixSource::Handle(_) => {
@@ -891,7 +870,7 @@ fn process_job(shared: &Arc<Shared>, job: Job) -> Response {
             return Response::error("internal: handle request crossed the tuning queue");
         }
     };
-    let tuned = shard.engine.prepare_with_deadline(matrix, deadline);
+    let tuned = shard.engine.prepare_with_deadline(matrix, job.deadline);
     let status = if tuned.decision().is_degraded() {
         Status::Degraded
     } else {
@@ -918,52 +897,15 @@ fn process_job(shared: &Arc<Shared>, job: Job) -> Response {
         };
         fields.push(("handle", Value::Str(wire.encode())));
     }
-    if work.op == WorkOp::Spmv {
-        let ones;
-        let x = match &work.x {
-            Some(x) => x.as_slice(),
-            None => {
-                ones = vec![1.0; matrix.cols()];
-                ones.as_slice()
-            }
-        };
-        let mut y = vec![0.0; matrix.rows()];
-        if let Err(e) = shard.engine.spmv(&tuned, x, &mut y) {
-            return Response::error(format!("[{}] {e}", e.taxonomy()));
-        }
-        fields.push(("y", Value::Array(y.into_iter().map(Value::Float).collect())));
-    } else if work.op == WorkOp::Spmm {
-        let (rows, cols, k) = (matrix.rows(), matrix.cols(), work.k);
-        // The wire carries column-major blocks; the engine wants the
-        // interleaved row-major layout. Convert both ways here so the
-        // warm engine path stays allocation-free for embedded callers.
-        let mut x = vec![1.0; cols * k];
-        if let Some(wire) = &work.x {
-            for (j, column) in wire.chunks_exact(cols).enumerate() {
-                for (c, &v) in column.iter().enumerate() {
-                    x[c * k + j] = v;
-                }
-            }
-        }
-        let mut y = vec![0.0; rows * k];
-        if let Err(e) = shard.engine.spmm(&tuned, &x, &mut y, k) {
-            return Response::error(format!("[{}] {e}", e.taxonomy()));
-        }
-        let mut out = Vec::with_capacity(rows * k);
-        for j in 0..k {
-            out.extend((0..rows).map(|r| Value::Float(y[r * k + j])));
-        }
-        if let Some(spmm_kernel) = tuned.spmm_kernel() {
-            let name = shard.engine.library().info(spmm_kernel).name;
-            fields.push(("spmm_kernel", Value::Str(name.to_string())));
-        }
-        fields.push(("k", Value::UInt(k as u64)));
-        fields.push(("y", Value::Array(out)));
-    }
-    if status == Status::Ok {
+    let dims = (matrix.rows(), matrix.cols());
+    let mut scratch = Scratch::default();
+    let product =
+        |x: &[f64], y: &mut [f64], k| tuned_product(&shard.engine, &tuned, work.op, x, y, k);
+    let resp = reply(work, dims, &mut scratch, status, fields, product);
+    if resp.status == Status::Ok {
         shard.handles.insert(tuned);
     }
-    Response::with(status, fields)
+    resp
 }
 
 // ---------------------------------------------------------------------
@@ -974,7 +916,12 @@ fn process_job(shared: &Arc<Shared>, job: Job) -> Response {
 /// requests only) the outcome counter is incremented first, so the
 /// quiesced invariant `requests_total == Σ outcomes` holds even if the
 /// client vanished before the write.
-fn write_response(shared: &Arc<Shared>, conn: &mut Conn, resp: &Response, count: bool) -> bool {
+fn write_response(
+    shared: &Arc<Shared>,
+    conn: &mut impl Write,
+    resp: &Response,
+    count: bool,
+) -> bool {
     if count {
         let m = &shared.metrics;
         let counter = match resp.status {
@@ -1155,4 +1102,34 @@ fn metrics_value(shared: &Arc<Shared>) -> Value {
         ("engine", engine),
         ("shards", shards),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A frame of the largest admitted size, dribbled in 4 KiB reads
+    /// like a slow client's, is split exactly and every byte is examined
+    /// for the terminator once: the scan is linear in the stream.
+    #[test]
+    fn max_size_frame_in_small_reads_is_scanned_once() {
+        let max = ServeConfig::default().max_frame_bytes;
+        let mut stream = vec![b'a'; max - 1];
+        stream.push(b'\n');
+        stream.extend_from_slice(b"{\"op\":\"ping\"}\n{\"op\"");
+        let mut frames = Frames::default();
+        let mut out = Vec::new();
+        for piece in stream.chunks(4096) {
+            frames.buf.extend_from_slice(piece);
+            while let Some(frame) = frames.next_frame() {
+                out.push(frame);
+            }
+        }
+        assert_eq!(out.len(), 2);
+        assert_eq!(out[0].len(), max - 1);
+        assert!(out[0].iter().all(|&b| b == b'a'));
+        assert_eq!(out[1], b"{\"op\":\"ping\"}");
+        assert_eq!(frames.buf, b"{\"op\"", "the partial frame stays buffered");
+        assert_eq!(frames.examined, stream.len(), "each byte examined once");
+    }
 }

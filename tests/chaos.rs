@@ -509,6 +509,125 @@ fn scripted_kernel_panics_are_contained_quarantined_and_readmitted() {
     assert_eq!(engine.health_report().exec_faults, 2);
 }
 
+/// The same containment contract on the batched path: scripted
+/// `exec.kernel` panics on warm `spmm` calls return `Ok` with the
+/// per-column reference product, the incidents are recorded against the
+/// SpMM pick (`op == Spmm`) while the handle's SpMV kernel stays
+/// admitted, and the SpMM breaker quarantines and half-open re-probes
+/// on the shared call clock exactly as the SpMV breaker does.
+#[test]
+fn scripted_kernel_panics_in_spmm_are_contained_quarantined_and_readmitted() {
+    let _serial = exclusive_failpoints();
+    let corpus = generate_corpus::<f64>(&CorpusSpec::small(120, 59));
+    let matrices: Vec<&Csr<f64>> = corpus.iter().map(|e| &e.matrix).collect();
+    let mut out = Trainer::new(SmatConfig::fast())
+        .train(&matrices)
+        .expect("training succeeds");
+    // No rule groups and a CSR-only fallback: the handle is CSR, whose
+    // SpMM tier is tiled, so the pick carries a real SpMM `KernelId`.
+    out.model.groups.groups.clear();
+    let cfg = SmatConfig {
+        breaker_threshold: 2,
+        breaker_backoff_calls: 4,
+        fallback_formats: vec![Format::Csr],
+        ..SmatConfig::fast()
+    };
+    let engine = Smat::with_config(out.model, cfg).expect("precision matches");
+    let m = random_uniform::<f64>(300, 300, 8, 78);
+    let tuned = engine.prepare(&m);
+    assert_eq!(tuned.format(), Format::Csr);
+    let k = 4;
+    let x: Vec<f64> = (0..m.cols() * k)
+        .map(|i| 0.5 - (i % 7) as f64 * 0.125)
+        .collect();
+    let mut expect = vec![0.0; m.rows() * k];
+    let (mut xj, mut yj) = (vec![0.0; m.cols()], vec![0.0; m.rows()]);
+    for j in 0..k {
+        for (c, slot) in xj.iter_mut().enumerate() {
+            *slot = x[c * k + j];
+        }
+        m.spmv(&xj, &mut yj).expect("reference SpMV runs");
+        for (r, &v) in yj.iter().enumerate() {
+            expect[r * k + j] = v;
+        }
+    }
+    let check = |tuned: &smat::TunedSpmv<f64>| {
+        let mut y = vec![f64::NAN; m.rows() * k];
+        engine
+            .spmm(tuned, &x, &mut y, k)
+            .expect("a contained fault must still return Ok");
+        assert!(
+            max_abs_diff(&y, &expect) < 1e-10,
+            "contained call diverged from the per-column reference product"
+        );
+    };
+
+    // Call 1 tunes the multi-RHS pick and runs it cleanly.
+    check(&tuned);
+    let bad = tuned.spmm_kernel().expect("a tiled SpMM pick");
+    assert_eq!(bad.op, smat_kernels::Op::Spmm);
+
+    // Calls 2–3: the tiled kernel panics; both are contained and the
+    // second trips the SpMM breaker.
+    let _g = smat_failpoints::scoped("exec.kernel", "2*panic(injected spmm fault)->off").unwrap();
+    check(&tuned);
+    check(&tuned);
+    let r = engine.health_report();
+    assert_eq!((r.calls, r.spmm_calls), (3, 3));
+    assert_eq!(r.exec_faults, 2);
+    assert_eq!(r.breaker_trips, 1);
+    assert_eq!(r.recent_incidents.len(), 2);
+    assert!(r.recent_incidents.iter().all(|i| i.kernel == bad
+        && i.kernel.op == smat_kernels::Op::Spmm
+        && i.kind == FaultKind::Panic
+        && i.fingerprint == tuned.fingerprint()));
+    assert!(r.recent_incidents[0]
+        .payload
+        .contains("injected spmm fault"));
+    let q = &r.quarantined_variants;
+    assert_eq!(q.len(), 1, "only the SpMM pick is benched");
+    assert_eq!(q[0].kernel, bad);
+    assert_eq!(q[0].state, BreakerState::Open);
+    assert_eq!(q[0].reopen_at, 3 + 4, "backoff counts in call-clock units");
+
+    // Call 4: the handle's SpMV kernel is still admitted and runs clean.
+    assert_usable(&engine, &tuned, &m);
+    let r = engine.health_report();
+    assert_eq!(r.exec_faults, 2);
+    assert!(r
+        .quarantined_variants
+        .iter()
+        .all(|q| q.kernel != tuned.kernel()));
+
+    // A cache-hit prepare replays the SpMV decision but drops the
+    // quarantined SpMM pick instead of re-attaching it.
+    let replayed = engine.prepare(&m);
+    assert!(replayed.decision().is_cached());
+    assert_eq!(replayed.kernel(), tuned.kernel());
+    assert_eq!(replayed.spmm_kernel(), None);
+
+    // Calls 5–6 sit inside the backoff window: served by the reference
+    // SpMM path, no new incidents.
+    check(&tuned);
+    check(&tuned);
+    let r = engine.health_report();
+    assert_eq!(r.exec_faults, 2, "fallback service records no incidents");
+    assert_eq!(r.quarantined_variants.len(), 1);
+
+    // Call 7 reaches `reopen_at`: the half-open re-probe runs the healed
+    // kernel cleanly and readmits it.
+    check(&tuned);
+    let r = engine.health_report();
+    assert_eq!(r.reprobe_successes, 1);
+    assert_eq!(r.reprobe_failures, 0);
+    assert!(
+        r.quarantined_variants.is_empty(),
+        "a clean re-probe must close the SpMM breaker"
+    );
+    check(&tuned); // call 8: healthy steady state again
+    assert_eq!(engine.health_report().exec_faults, 2);
+}
+
 /// The pool degradation ladder at engine level: scripted dispatch
 /// faults demote warm serving to serial plans (results stay correct
 /// throughout), and a clean re-probe after the backoff promotes the

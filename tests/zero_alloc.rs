@@ -195,23 +195,33 @@ fn warm_planned_spmv_allocates_nothing_and_spawns_nothing() {
     // borrowed straight from the handle — no clone of the plan, no
     // per-call gather buffers on the tiled path — through the same
     // containment boundary as SpMV. Forced onto the measured CSR path
-    // (threshold above 1.0 disables rule shortcuts) so the pick is a
-    // real tiled kernel, not the allocating per-column fallback.
+    // so the pick is a real tiled kernel, not the allocating per-column
+    // fallback: with no rule groups there is no `first_match` format to
+    // join the candidates, so CSR is the only one measured.
+    let mut csr_only = out.model.clone();
+    csr_only.groups.groups.clear();
     let spmm_engine = Smat::<f64>::with_config(
-        out.model.clone(),
+        csr_only,
         SmatConfig {
-            confidence_threshold: 1.1,
             fallback_formats: vec![Format::Csr],
             ..SmatConfig::fast()
         },
     )
     .expect("precision ok");
     let tuned = spmm_engine.prepare(&m);
+    assert_eq!(tuned.format(), Format::Csr, "CSR is the only candidate");
     let k = 4;
     let xb: Vec<f64> = (0..m.cols() * k)
         .map(|i| 0.5 - (i % 9) as f64 * 0.0625)
         .collect();
     let mut yb = vec![0.0f64; m.rows() * k];
+    spmm_engine
+        .spmm(&tuned, &xb, &mut yb, k)
+        .expect("the first SpMM call tunes the pick");
+    assert!(
+        tuned.spmm_kernel().is_some(),
+        "the CSR pick is a tiled SpMM kernel, not the per-column fallback"
+    );
     let (allocs, spawns) = audit(5, 100, || {
         spmm_engine
             .spmm(&tuned, &xb, &mut yb, k)
@@ -219,10 +229,6 @@ fn warm_planned_spmv_allocates_nothing_and_spawns_nothing() {
     });
     assert_eq!(allocs, 0, "heap allocations in warm prepared-engine SpMM");
     assert_eq!(spawns, 0, "thread spawns in warm prepared-engine SpMM");
-    assert!(
-        tuned.spmm_kernel().is_some(),
-        "the CSR pick is a tiled SpMM kernel, not the per-column fallback"
-    );
     assert!(
         spmm_engine.health_report().spmm_calls >= 105,
         "the op-labeled call clock counted the batched calls"
